@@ -33,6 +33,10 @@ phase "cargo doc --no-deps (rustdoc warnings are errors) + doc-examples"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test -q --doc --offline --workspace
 
+phase "perfbench: the end-to-end benchmark builds and its tests pass against the crates"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 phase "sdm-lint: hermetic source-lint gate over the workspace"
 cargo run --release --offline -p sdm-verify --bin sdm-lint -- --root .
 

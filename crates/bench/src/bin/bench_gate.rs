@@ -378,6 +378,7 @@ exhaustion attack ({len:.0} > {cap:.0})"
 }
 
 fn main() -> ExitCode {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{HELP}");

@@ -73,6 +73,7 @@ fn summarize(label: &str, run: &ShardedRun, cap: usize) -> bool {
 }
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

@@ -12,6 +12,7 @@ use sdm_core::{EnforcementOptions, LbOptions, Strategy};
 use sdm_policy::NetworkFunction;
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

@@ -14,6 +14,7 @@ use sdm_bench::{arg_value, figure_header, figure_row, ExperimentConfig, World};
 use sdm_util::par::{par_map, shard_count};
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

@@ -18,6 +18,7 @@ use sdm_policy::{ActionList, NetworkFunction, Policy, PolicySet, PortMatch,
 use sdm_workload::generate_flows_with_total;
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

@@ -19,6 +19,7 @@ use sdm_netsim::SimTime;
 use sdm_workload::WorkloadConfig;
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

@@ -14,6 +14,7 @@ use sdm_core::{LbOptions, Strategy};
 use sdm_netsim::{Packet, Simulator};
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

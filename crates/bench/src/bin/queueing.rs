@@ -24,6 +24,7 @@ use sdm_util::par::shard_count;
 use sdm_workload::WorkloadConfig;
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     // Shared middlebox queues couple the flows: force the single-shard
     // fallback no matter what SDM_SHARDS asks for.

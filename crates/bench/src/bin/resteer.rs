@@ -34,6 +34,7 @@ fn busiest(loads: &[u64]) -> MiddleboxId {
 }
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

@@ -24,6 +24,7 @@ use sdm_util::par::shard_count;
 use sdm_workload::to_flow_specs;
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

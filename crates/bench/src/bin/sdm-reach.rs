@@ -37,6 +37,7 @@ use sdm_verify::reach::{check_assertions, parse_assertions};
 use sdm_verify::witness::{corpus_from_json, corpus_to_json, ReplayScenario};
 
 fn main() -> ExitCode {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

@@ -17,6 +17,7 @@ use sdm_bench::{arg_value, ExperimentConfig, World, PLOT_ORDER};
 use sdm_util::par::shard_count;
 
 fn main() {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

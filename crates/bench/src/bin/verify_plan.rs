@@ -22,6 +22,7 @@ use sdm_core::{
 use sdm_util::json::Json;
 
 fn main() -> ExitCode {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().collect();
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|s| s.parse().ok())

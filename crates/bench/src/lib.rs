@@ -334,6 +334,16 @@ pub fn figure_header() -> String {
     s
 }
 
+/// Start-up check every experiment binary runs first: on a malformed
+/// `SDM_*` environment knob (see [`sdm_util::knobs`]) it prints the error
+/// and exits with status 2 before any work starts.
+pub fn exit_on_bad_knobs() {
+    if let Err(e) = sdm_util::knobs::check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
 /// Parses `--key value`-style arguments from a bin's argv; returns the
 /// value for `key` if present.
 pub fn arg_value(args: &[String], key: &str) -> Option<String> {

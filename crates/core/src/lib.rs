@@ -76,7 +76,7 @@ pub use lp_model::{
     build_full, build_reduced, build_reduced_with_cache, LbError, LbOptions, LbReport,
     LbWarmCache,
 };
-pub use measure::{DestKey, TrafficMatrix};
+pub use measure::{DestKey, PolicyVolumes, TrafficMatrix};
 pub use ingress::IngressProxy;
 pub use middlebox::MiddleboxDevice;
 pub use proxy::ProxyDevice;

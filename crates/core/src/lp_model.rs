@@ -193,7 +193,7 @@ pub fn build_reduced_with_cache(
     };
 
     // Phase 1: minimize the global maximum load factor λ.
-    let model = assemble_reduced(deployment, assignments, policies, traffic, options, None)?;
+    let mut model = assemble_reduced(deployment, assignments, policies, traffic, options)?;
     let vars = model.lp.num_vars();
     let cons = model.lp.num_constraints();
     let ws1 = model.lp.solve_warm(lambda_hint.as_ref())?;
@@ -205,14 +205,7 @@ pub fn build_reduced_with_cache(
     // unbalanced; the paper's Table III shows *every* type balanced under
     // LB, which this second pass reproduces without disturbing λ.
     let bound = lambda_star * (1.0 + 1e-9) + 1e-6;
-    let model = assemble_reduced(
-        deployment,
-        assignments,
-        policies,
-        traffic,
-        options,
-        Some(bound),
-    )?;
+    model.extend_to_refinement(deployment, bound);
     let ws2 = model.lp.solve_warm(refine_hint.as_ref())?;
 
     if let Some(c) = cache {
@@ -251,6 +244,38 @@ struct ReducedModel {
     lp: LinearProgram,
     lambda: VarId,
     all_vars: Vec<PolicyVars>,
+    /// Inflow terms of each middlebox's capacity row, by box index.
+    capacity_terms: Vec<Vec<(VarId, f64)>>,
+}
+
+impl ReducedModel {
+    /// Turns the λ program into the refinement program in place: λ leaves
+    /// the objective, `λ ≤ bound` is appended, and per function type `e`
+    /// with any load a variable `μ_e` (objective 1) and one row per box,
+    /// `inflow(x) ≤ capacity(x) · μ_e`. Everything before the appended
+    /// rows is the λ program unchanged, so the two programs share their
+    /// variable and row numbering.
+    fn extend_to_refinement(&mut self, deployment: &Deployment, bound: f64) {
+        let lp = &mut self.lp;
+        lp.set_objective(self.lambda, 0.0);
+        lp.add_constraint(vec![(self.lambda, 1.0)], Relation::Le, bound);
+        for e in deployment.functions() {
+            let loaded: Vec<MiddleboxId> = deployment
+                .offering(e)
+                .into_iter()
+                .filter(|x| !self.capacity_terms[x.index()].is_empty())
+                .collect();
+            if loaded.is_empty() {
+                continue;
+            }
+            let mu = lp.add_var(format!("mu[{e}]"), 1.0);
+            for x in loaded {
+                let mut row = self.capacity_terms[x.index()].clone();
+                row.push((mu, -deployment.spec(x).capacity));
+                lp.add_constraint(row, Relation::Le, 0.0);
+            }
+        }
+    }
 }
 
 fn extract_weights(
@@ -302,34 +327,34 @@ fn extract_weights(
     }
 }
 
-/// Assembles the reduced LP. With `lambda_bound = None` the objective is
-/// `min λ`; with `Some(bound)` the constraint `λ ≤ bound` is added and the
-/// objective becomes the sum of per-function maximum load factors `μ_e`.
+/// Assembles the reduced LP with objective `min λ` (the refinement pass
+/// extends it through [`ReducedModel::extend_to_refinement`]). One pass
+/// over the traffic matrix supplies every `T_p` and `T_{s,p}`, so the cost
+/// is O(cells + variables + constraint terms).
 fn assemble_reduced(
     deployment: &Deployment,
     assignments: &Assignments,
     policies: &PolicySet,
     traffic: &TrafficMatrix,
     options: LbOptions,
-    lambda_bound: Option<f64>,
 ) -> Result<ReducedModel, LbError> {
     let mut lp = LinearProgram::new();
-    let lambda_obj = if lambda_bound.is_none() { 1.0 } else { 0.0 };
-    let lambda = lp.add_var("lambda", lambda_obj);
+    let lambda = lp.add_var("lambda", 1.0);
 
     // capacity_terms[x] accumulates the inflow expression of middlebox x
     let mut capacity_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); deployment.len()];
 
     let mut all_vars: Vec<PolicyVars> = Vec::new();
 
-    for p in traffic.policies() {
+    for volumes in traffic.policy_volumes() {
+        let p = volumes.policy;
         let Some(policy) = policies.get(p) else {
             continue;
         };
         if policy.actions.is_permit() {
             continue;
         }
-        let t_p = traffic.total(p);
+        let t_p = volumes.total;
         if t_p <= 0.0 {
             continue;
         }
@@ -342,8 +367,7 @@ fn assemble_reduced(
         // Value: the member stubs with their T_{s,p}, and the group total.
         type Group = (Vec<(StubId, f64)>, f64);
         let mut groups: std::collections::BTreeMap<Vec<MiddleboxId>, Group> = Default::default();
-        for s in traffic.sources_for(p) {
-            let t_sp = traffic.from_source(s, p);
+        for (s, t_sp) in volumes.sources {
             if t_sp <= 0.0 {
                 continue;
             }
@@ -466,35 +490,11 @@ fn assemble_reduced(
         lp.add_constraint(vec![(lambda, 1.0)], Relation::Le, 1.0);
     }
 
-    // --- phase-2 refinement: per-function max load factors μ_e ---
-    if let Some(bound) = lambda_bound {
-        lp.add_constraint(vec![(lambda, 1.0)], Relation::Le, bound);
-        for e in deployment.functions() {
-            let boxes = deployment.offering(e);
-            // skip types with no load expression at all
-            if boxes
-                .iter()
-                .all(|x| capacity_terms[x.index()].is_empty())
-            {
-                continue;
-            }
-            let mu = lp.add_var(format!("mu[{e}]"), 1.0);
-            for &x in &boxes {
-                let terms = &capacity_terms[x.index()];
-                if terms.is_empty() {
-                    continue;
-                }
-                let mut row = terms.clone();
-                row.push((mu, -deployment.spec(x).capacity));
-                lp.add_constraint(row, Relation::Le, 0.0);
-            }
-        }
-    }
-
     Ok(ReducedModel {
         lp,
         lambda,
         all_vars,
+        capacity_terms,
     })
 }
 
@@ -968,5 +968,97 @@ mod tests {
         let (_, report) = build_reduced(&dep, &asg, &pol, &tm, LbOptions::default()).unwrap();
         // the single WP sees all 1000; FWs and IDSes split 500/500
         assert!((report.lambda - 1000.0).abs() < 1e-6, "{}", report.lambda);
+    }
+
+    /// FNV-1a over the bytes of `text`.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The seed-1 evaluation world on `plan` (evaluation deployment seed 2
+    /// with 4/7/7/4 boxes, paper-default k) carrying a seeded mix of the
+    /// four evaluation chain shapes plus a permit policy, and a traffic
+    /// matrix of `draws` seeded records with fractional volumes (so a
+    /// change of summation order would show in the coefficients).
+    fn evaluation_world(
+        plan: &sdm_topology::NetworkPlan,
+        draws: usize,
+    ) -> (Deployment, Assignments, PolicySet, TrafficMatrix) {
+        let dep = Deployment::evaluation_with_counts(plan, 2, &[4, 7, 7, 4]);
+        let routes = plan.topology().routing_tables();
+        let asg = Assignments::compute(&dep, &routes, plan.edges(), &KConfig::paper_default());
+        let chains = [
+            vec![Firewall, Ids],
+            vec![Firewall, Ids, WebProxy],
+            vec![Ids, TrafficMonitor],
+            vec![WebProxy, Ids, Firewall],
+        ];
+        let mut pol = PolicySet::new();
+        for i in 0..30u16 {
+            pol.push(Policy::new(
+                TrafficDescriptor::new().dst_port(1000 + i),
+                ActionList::chain(chains[usize::from(i) % chains.len()].clone()),
+            ));
+        }
+        pol.push(Policy::permit(TrafficDescriptor::new()));
+        let mut rng = sdm_util::rng::StdRng::seed_from_u64(1);
+        let stubs = plan.stub_count() as u32;
+        let mut tm = TrafficMatrix::new();
+        for _ in 0..draws {
+            let s = StubId(rng.gen_range(0..stubs));
+            let d = match rng.gen_range(0..stubs + 1) {
+                x if x == stubs => DestKey::External,
+                x => DestKey::Stub(StubId(x)),
+            };
+            let p = PolicyId(rng.gen_range(0..31u32));
+            tm.record(s, d, p, 0.1 + rng.next_f64() * 900.0);
+        }
+        (dep, asg, pol, tm)
+    }
+
+    /// The λ program and the refinement program (at a fixed bound, so the
+    /// pin covers assembly alone) of `world`, as LP text.
+    fn program_texts(
+        world: &(Deployment, Assignments, PolicySet, TrafficMatrix),
+    ) -> (String, String) {
+        let (dep, asg, pol, tm) = world;
+        let mut model = assemble_reduced(dep, asg, pol, tm, LbOptions::default()).unwrap();
+        let lambda = model.lp.to_lp_format();
+        model.extend_to_refinement(dep, 1234.5);
+        (lambda, model.lp.to_lp_format())
+    }
+
+    #[test]
+    fn eq2_program_text_is_pinned() {
+        for (name, plan, draws, want) in [
+            (
+                "campus",
+                campus(1),
+                600,
+                [0x8144_fcd9_3189_ad4a, 0xc234_319d_cfb8_4e70],
+            ),
+            (
+                "waxman",
+                sdm_topology::waxman::waxman(1),
+                2500,
+                [0x56b9_c159_5385_fc62, 0xfdc7_55d4_00cc_e135],
+            ),
+        ] {
+            let world = evaluation_world(&plan, draws);
+            let (lambda, refine) = program_texts(&world);
+            let got = [fnv1a(&lambda), fnv1a(&refine)];
+            assert!(
+                got == want,
+                "{name}: Eq. (2) program text changed ({} cells, {} / {} bytes): \
+                 digests {:#018x} / {:#018x}",
+                world.3.len(),
+                lambda.len(),
+                refine.len(),
+                got[0],
+                got[1]
+            );
+        }
     }
 }

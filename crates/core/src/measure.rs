@@ -27,6 +27,18 @@ impl fmt::Display for DestKey {
     }
 }
 
+/// One policy's marginals, from [`TrafficMatrix::policy_volumes`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PolicyVolumes {
+    /// The policy `p`.
+    pub policy: PolicyId,
+    /// `T_p`: total volume matching `p`.
+    pub total: f64,
+    /// `(s, T_{s,p})` for every source with traffic matching `p`,
+    /// ascending by source.
+    pub sources: Vec<(StubId, f64)>,
+}
+
 /// The aggregated traffic matrix: `T_{s,d,p}` in packets, with the marginal
 /// sums the reduced LP formulation (Eq. 2) needs.
 ///
@@ -41,14 +53,16 @@ impl fmt::Display for DestKey {
 /// tm.record(StubId(0), DestKey::Stub(StubId(1)), PolicyId(0), 100.0);
 /// tm.record(StubId(2), DestKey::Stub(StubId(1)), PolicyId(0), 50.0);
 /// assert_eq!(tm.total(PolicyId(0)), 150.0);
-/// assert_eq!(tm.from_source(StubId(0), PolicyId(0)), 100.0);
-/// assert_eq!(tm.to_dest(DestKey::Stub(StubId(1)), PolicyId(0)), 150.0);
+/// let marginals = tm.policy_volumes();
+/// assert_eq!(marginals[0].total, 150.0);
+/// assert_eq!(marginals[0].sources, vec![(StubId(0), 100.0), (StubId(2), 50.0)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TrafficMatrix {
     // BTreeMap, not HashMap: `iter()` order feeds the full LP's variable
-    // order (Eq. 1), so it must be deterministic across processes for the
-    // simplex pivot sequence — and hence diagnostics — to reproduce.
+    // order (Eq. 1) and `policy_volumes`' summation order (Eq. 2), so it
+    // must be deterministic across processes for the simplex pivot
+    // sequence — and hence diagnostics — to reproduce.
     cells: BTreeMap<(StubId, DestKey, PolicyId), f64>,
 }
 
@@ -82,7 +96,8 @@ impl TrafficMatrix {
         self.cells.get(&(s, d, p)).copied().unwrap_or(0.0)
     }
 
-    /// `T_p`: total volume matching `p`.
+    /// `T_p`: total volume matching `p`. Scans every cell, O(cells); use
+    /// [`TrafficMatrix::policy_volumes`] for the marginals of all policies.
     pub fn total(&self, p: PolicyId) -> f64 {
         self.cells
             .iter()
@@ -91,25 +106,8 @@ impl TrafficMatrix {
             .sum()
     }
 
-    /// `T_{s,p}`: volume from source `s` matching `p`.
-    pub fn from_source(&self, s: StubId, p: PolicyId) -> f64 {
-        self.cells
-            .iter()
-            .filter(|((ss, _, pp), _)| *ss == s && *pp == p)
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// `T_{d,p}`: volume towards destination `d` matching `p`.
-    pub fn to_dest(&self, d: DestKey, p: PolicyId) -> f64 {
-        self.cells
-            .iter()
-            .filter(|((_, dd, pp), _)| *dd == d && *pp == p)
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// All policies with nonzero measured traffic.
+    /// All policies with nonzero measured traffic, ascending. Scans every
+    /// cell, O(cells).
     pub fn policies(&self) -> Vec<PolicyId> {
         let mut v: Vec<PolicyId> = self.cells.keys().map(|&(_, _, p)| p).collect();
         v.sort();
@@ -117,33 +115,31 @@ impl TrafficMatrix {
         v
     }
 
-    /// All sources with nonzero traffic for `p`, sorted.
-    pub fn sources_for(&self, p: PolicyId) -> Vec<StubId> {
-        let mut v: Vec<StubId> = self
-            .cells
-            .keys()
-            .filter(|&&(_, _, pp)| pp == p)
-            .map(|&(s, _, _)| s)
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// All destinations with nonzero traffic for `p`.
-    pub fn dests_for(&self, p: PolicyId) -> Vec<DestKey> {
-        let mut v: Vec<DestKey> = self
-            .cells
-            .keys()
-            .filter(|&&(_, _, pp)| pp == p)
-            .map(|&(_, d, _)| d)
-            .collect();
-        v.sort_by_key(|d| match d {
-            DestKey::Stub(s) => s.0 as i64,
-            DestKey::External => -1,
-        });
-        v.dedup();
-        v
+    /// The marginals the reduced LP (Eq. 2) needs, for every policy with
+    /// nonzero traffic in ascending policy order: `T_p` and the ascending
+    /// `(s, T_{s,p})` list. One pass over the cells, O(cells · log policies).
+    ///
+    /// The cells are visited in key order, the order in which
+    /// [`TrafficMatrix::total`] or a per-source filter-and-sum over
+    /// [`TrafficMatrix::iter`] visits them, so every sum is bit-identical
+    /// to that scan's.
+    pub fn policy_volumes(&self) -> Vec<PolicyVolumes> {
+        let mut by_policy: BTreeMap<PolicyId, PolicyVolumes> = BTreeMap::new();
+        for (&(s, _, p), &v) in &self.cells {
+            let pv = by_policy.entry(p).or_insert_with(|| PolicyVolumes {
+                policy: p,
+                total: 0.0,
+                sources: Vec::new(),
+            });
+            pv.total += v;
+            // Keys sort by source first, so one source's cells of `p` are
+            // contiguous and the list comes out ascending.
+            match pv.sources.last_mut() {
+                Some((last, t)) if *last == s => *t += v,
+                _ => pv.sources.push((s, v)),
+            }
+        }
+        by_policy.into_values().collect()
     }
 
     /// Iterates over all `(source, dest, policy, volume)` cells.
@@ -151,7 +147,8 @@ impl TrafficMatrix {
         self.cells.iter().map(|(&(s, d, p), &v)| (s, d, p, v))
     }
 
-    /// Total measured volume across all policies.
+    /// Total measured volume across all policies. Scans every cell,
+    /// O(cells).
     pub fn grand_total(&self) -> f64 {
         self.cells.values().sum()
     }
@@ -187,9 +184,10 @@ mod tests {
         tm.record(s(0), DestKey::External, p(1), 7.0);
         assert_eq!(tm.total(p(0)), 35.0);
         assert_eq!(tm.total(p(1)), 7.0);
-        assert_eq!(tm.from_source(s(0), p(0)), 30.0);
-        assert_eq!(tm.to_dest(DestKey::Stub(s(1)), p(0)), 15.0);
-        assert_eq!(tm.to_dest(DestKey::External, p(1)), 7.0);
+        let marginals = tm.policy_volumes();
+        assert_eq!(marginals.len(), 2);
+        assert_eq!(marginals[0].sources, vec![(s(0), 30.0), (s(3), 5.0)]);
+        assert_eq!(marginals[1].total, 7.0);
         assert_eq!(tm.volume(s(3), DestKey::Stub(s(1)), p(0)), 5.0);
         assert_eq!(tm.grand_total(), 42.0);
     }
@@ -253,10 +251,108 @@ mod tests {
         tm.record(s(3), DestKey::External, p(2), 1.0);
         tm.record(s(3), DestKey::Stub(s(1)), p(0), 1.0);
         assert_eq!(tm.policies(), vec![p(0), p(2)]);
-        assert_eq!(tm.sources_for(p(2)), vec![s(3), s(5)]);
+        let marginals = tm.policy_volumes();
+        let listed: Vec<PolicyId> = marginals.iter().map(|pv| pv.policy).collect();
+        assert_eq!(listed, tm.policies());
+        assert_eq!(marginals[1].sources, vec![(s(3), 1.0), (s(5), 1.0)]);
+    }
+
+    #[test]
+    fn empty_and_single_cell_policies() {
+        assert!(TrafficMatrix::new().policy_volumes().is_empty());
+        let mut tm = TrafficMatrix::new();
+        tm.record(s(4), DestKey::External, p(3), 0.3);
         assert_eq!(
-            tm.dests_for(p(2)),
-            vec![DestKey::External, DestKey::Stub(s(1))]
+            tm.policy_volumes(),
+            vec![PolicyVolumes {
+                policy: p(3),
+                total: 0.3,
+                sources: vec![(s(4), 0.3)],
+            }]
+        );
+    }
+
+    /// One generated report: `(source, dest, policy, volume, via_merge)`;
+    /// dest 4 stands for [`DestKey::External`].
+    type Report = (u32, u32, u32, f64, bool);
+
+    fn build(reports: &[Report]) -> TrafficMatrix {
+        let mut tm = TrafficMatrix::new();
+        for &(src, dst, pol, vol, via_merge) in reports {
+            let d = if dst == 4 {
+                DestKey::External
+            } else {
+                DestKey::Stub(s(dst))
+            };
+            if via_merge {
+                let mut one = TrafficMatrix::new();
+                one.record(s(src), d, p(pol), vol);
+                tm.merge(&one);
+            } else {
+                tm.record(s(src), d, p(pol), vol);
+            }
+        }
+        tm
+    }
+
+    #[test]
+    fn policy_volumes_match_naive_scans_bit_for_bit() {
+        use sdm_util::prop::{check, Config};
+        const POLICIES: u32 = 6;
+        check(
+            "policy_volumes == per-call scans",
+            &Config::with_cases(256),
+            |rng| {
+                let n = rng.gen_range(0..40usize);
+                (0..n)
+                    .map(|_| {
+                        // Magnitudes spread over 7 decades, so any change
+                        // of summation order shows in the low bits.
+                        let scale = 10f64.powi(rng.gen_range(0..7u32) as i32);
+                        (
+                            rng.gen_range(0..5u32),
+                            rng.gen_range(0..5u32),
+                            rng.gen_range(0..POLICIES),
+                            rng.next_f64() * scale,
+                            rng.gen_bool(0.5),
+                        )
+                    })
+                    .collect::<Vec<Report>>()
+            },
+            |reports| {
+                let tm = build(reports);
+                let summary = tm.policy_volumes();
+                let listed: Vec<PolicyId> = summary.iter().map(|pv| pv.policy).collect();
+                sdm_util::prop_assert_eq!(listed, tm.policies());
+                for pol in (0..POLICIES).map(p) {
+                    // The reference: the filter-and-sum scans the LP
+                    // assembly used to run once per policy and per source.
+                    let cells: Vec<(StubId, f64)> = tm
+                        .iter()
+                        .filter(|&(_, _, pp, _)| pp == pol)
+                        .map(|(ss, _, _, v)| (ss, v))
+                        .collect();
+                    let Some(pv) = summary.iter().find(|pv| pv.policy == pol) else {
+                        sdm_util::prop_assert!(cells.is_empty(), "{pol} missing");
+                        continue;
+                    };
+                    let total: f64 = cells.iter().map(|&(_, v)| v).sum();
+                    sdm_util::prop_assert_eq!(pv.total.to_bits(), total.to_bits());
+                    let mut sources: Vec<StubId> = cells.iter().map(|&(ss, _)| ss).collect();
+                    sources.dedup();
+                    sdm_util::prop_assert_eq!(pv.sources.len(), sources.len());
+                    for (&(got_s, got_t), &src) in pv.sources.iter().zip(&sources) {
+                        let t_sp: f64 = cells
+                            .iter()
+                            .filter(|&&(ss, _)| ss == src)
+                            .map(|&(_, v)| v)
+                            .sum();
+                        sdm_util::prop_assert_eq!(got_s, src);
+                        sdm_util::prop_assert_eq!(got_t.to_bits(), t_sp.to_bits());
+                    }
+                }
+                Ok(())
+            },
         );
     }
 }

@@ -101,6 +101,18 @@ impl LinearProgram {
         id
     }
 
+    /// Sets the objective coefficient of an existing variable, e.g. to
+    /// re-purpose a solved program as the next pass of a lexicographic
+    /// optimization without rebuilding it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` was not created by this program.
+    pub fn set_objective(&mut self, v: VarId, objective: f64) {
+        assert!(v.index() < self.objective.len(), "unknown variable {v}");
+        self.objective[v.index()] = objective;
+    }
+
     /// Adds a constraint. Repeated variables in `terms` are summed; terms
     /// referencing unknown variables panic.
     ///
@@ -254,6 +266,24 @@ mod tests {
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 1);
         assert_eq!(lp.var_name(y), "lambda");
+    }
+
+    #[test]
+    fn set_objective_replaces_a_coefficient() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var("x", 1.0);
+        let y = lp.add_var("y", 0.0);
+        lp.set_objective(x, 0.0);
+        lp.set_objective(y, 3.0);
+        assert_eq!(lp.objective_at(&[2.0, 1.0]), 3.0);
+        assert_eq!(lp.to_lp_format().lines().nth(1), Some(" obj: 3 y"));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown variable")]
+    fn set_objective_rejects_foreign_variable() {
+        let mut lp = LinearProgram::new();
+        lp.set_objective(VarId(0), 1.0);
     }
 
     #[test]

@@ -475,12 +475,11 @@ pub struct Simulator {
 const DEFAULT_BATCH: usize = 256;
 
 /// Batch size from the `SDM_BATCH` environment variable (default
-/// [`DEFAULT_BATCH`]; values below 1 clamp to 1 = scalar).
+/// [`DEFAULT_BATCH`]; 1 = scalar). A malformed or zero value falls back to
+/// the default here; binaries reject it at start-up through
+/// [`sdm_util::knobs::check_env`].
 fn batch_from_env() -> usize {
-    std::env::var("SDM_BATCH")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(DEFAULT_BATCH, |b| b.max(1))
+    sdm_util::knobs::count("SDM_BATCH").unwrap_or(DEFAULT_BATCH)
 }
 
 /// Bookkeeping of one emulated fragmentation: fragments reference the

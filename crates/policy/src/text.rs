@@ -8,8 +8,9 @@
 //! src=* dst=10.3.0.0/16 dport=2000-2100 => permit
 //! ```
 //!
-//! Fields may appear in any order; omitted fields are wildcards. The
-//! action list is either `permit` or a comma-separated chain of
+//! Fields may appear in any order; omitted fields are wildcards. `proto`
+//! takes `tcp`, `udp`, `ipip` or a protocol number (bare or as `proto<n>`,
+//! the form [`policy_to_line`] prints). The action list is either `permit` or a comma-separated chain of
 //! `FW | IDS | WP | TM | NF<n>`.
 
 use std::fmt;
@@ -122,8 +123,13 @@ fn parse_proto(value: &str, line: usize) -> Result<ProtoMatch, ParsePolicyError>
         "*" => ProtoMatch::Any,
         "tcp" => ProtoMatch::Is(Protocol::Tcp),
         "udp" => ProtoMatch::Is(Protocol::Udp),
+        "ipip" => ProtoMatch::Is(Protocol::IpInIp),
         other => {
+            // A protocol number, bare or in `Protocol`'s display form
+            // `proto<n>` (what `policy_to_line` prints for it).
             let n: u8 = other
+                .strip_prefix("proto")
+                .unwrap_or(other)
                 .parse()
                 .map_err(|_| err(line, format!("unknown protocol '{value}'")))?;
             ProtoMatch::Is(Protocol::from(n))
@@ -285,6 +291,20 @@ mod tests {
             let rendered = policy_to_line(&p);
             let p2 = parse_policy_line(&rendered, 1).unwrap();
             assert_eq!(p, p2, "round trip of '{l}' via '{rendered}'");
+        }
+    }
+
+    #[test]
+    fn every_protocol_round_trips() {
+        for n in 0..=255u8 {
+            let p = parse_policy_line(&format!("proto={n} => FW"), 1).unwrap();
+            assert_eq!(p.descriptor.proto, ProtoMatch::Is(Protocol::from(n)));
+            let rendered = policy_to_line(&p);
+            assert_eq!(
+                parse_policy_line(&rendered, 1).unwrap(),
+                p,
+                "via '{rendered}'"
+            );
         }
     }
 

@@ -15,6 +15,7 @@
 //! | [`sync`] | `parking_lot` | `std::sync::Mutex` wrapper with a non-poisoning `lock()` |
 //! | [`fxhash`] | `rustc-hash` | deterministic multiply-rotate hasher for hot, trusted-key tables |
 //! | [`bench_diff`] | — | baseline-vs-new bench comparison powering the CI regression gate |
+//! | [`knobs`] | — | the `SDM_*` environment knobs: one parser, and the start-up check binaries run |
 //!
 //! Everything is deterministic per fixed seed, `#![forbid(unsafe_code)]`,
 //! and uses the standard library only.
@@ -26,6 +27,7 @@ pub mod bench;
 pub mod bench_diff;
 pub mod fxhash;
 pub mod json;
+pub mod knobs;
 pub mod par;
 pub mod prop;
 pub mod rng;

@@ -6,12 +6,7 @@
 use std::num::NonZeroUsize;
 use std::thread;
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-}
+use crate::knobs;
 
 /// Detected hardware parallelism (`available_parallelism`, 1 on failure).
 pub fn hardware_threads() -> usize {
@@ -24,8 +19,8 @@ pub fn hardware_threads() -> usize {
 /// capped by the item count. `SDM_THREADS` (or the older `SDM_PAR_THREADS`)
 /// overrides the autodetected count, so CI can force sequential runs.
 pub fn thread_count(items: usize) -> usize {
-    let hw = env_usize("SDM_THREADS")
-        .or_else(|| env_usize("SDM_PAR_THREADS"))
+    let hw = knobs::count("SDM_THREADS")
+        .or_else(|| knobs::count("SDM_PAR_THREADS"))
         .unwrap_or_else(hardware_threads);
     hw.clamp(1, items.max(1))
 }
@@ -35,7 +30,7 @@ pub fn thread_count(items: usize) -> usize {
 /// per-shard engine clones cost more memory than the extra threads return).
 /// Always at least 1.
 pub fn shard_count() -> usize {
-    env_usize("SDM_SHARDS").unwrap_or_else(|| hardware_threads().min(8))
+    knobs::count("SDM_SHARDS").unwrap_or_else(|| hardware_threads().min(8))
 }
 
 /// Applies `f` to every item on a scoped thread pool and returns the

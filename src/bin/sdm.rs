@@ -136,6 +136,7 @@ fn arg(args: &[String], key: &str) -> Option<String> {
 }
 
 fn main() -> ExitCode {
+    sdm_bench::exit_on_bad_knobs();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{HELP}");
