@@ -36,6 +36,10 @@ cargo test -q --doc --offline --workspace
 phase "perfbench: the end-to-end benchmark builds and its tests pass against the crates"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# One short waxman_reach run: exits 1 if the Waxman-425 reach report
+# drifts from perfbench/expected/waxman_reach.txt.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload waxman_reach --seed 1 --seconds 1 --trace 0
 
 phase "sdm-lint: hermetic source-lint gate over the workspace"
 cargo run --release --offline -p sdm-verify --bin sdm-lint -- --root .

@@ -232,14 +232,17 @@ impl Json {
     }
 
     /// Parses a JSON document (a single value with optional surrounding
-    /// whitespace).
+    /// whitespace). Arrays and objects nested deeper than
+    /// [`MAX_DEPTH`] levels are rejected with an error, so the recursive
+    /// descent cannot overflow the stack on hostile input.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src: input,
             b: input.as_bytes(),
             i: 0,
         };
         p.ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.ws();
         if p.i != p.b.len() {
             return Err(p.err("trailing characters after value"));
@@ -271,7 +274,11 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    src: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -312,21 +319,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value, inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.lit("null", Json::Null),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth >= MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.ws();
@@ -336,7 +347,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
@@ -349,7 +360,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.ws();
@@ -363,7 +374,7 @@ impl<'a> Parser<'a> {
             self.ws();
             self.eat(b':')?;
             self.ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.ws();
             match self.peek() {
@@ -416,13 +427,17 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // advance over one UTF-8 scalar
-                    let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both
+                    // are ASCII, so the run ends on a UTF-8 boundary.
+                    let start = self.i;
+                    while self.peek().is_some_and(|c| c != b'"' && c != b'\\') {
+                        self.i += 1;
+                    }
+                    let run = self
+                        .src
+                        .get(start..self.i)
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -440,13 +455,16 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError {
+        // The scan above only crossed ASCII bytes.
+        let text = &self.src[start..self.i];
+        match text.parse::<f64>() {
+            // JSON has no infinities: `1e999` would print as `inf`.
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(JsonError {
                 msg: format!("invalid number `{text}`"),
                 at: start,
-            })
+            }),
+        }
     }
 }
 
@@ -523,6 +541,32 @@ mod tests {
         for bad in ["{", "[1,", "tru", "\"unterminated", "{\"a\" 1}", "1 2"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(Json::parse(&"{\"a\":".repeat(1_000_000)).is_err());
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for bad in ["1e999", "-1e999", "[1e400]"] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text() {
+        let v = Json::parse("\"⟨src|l, a⟩ — ok\\n\"").unwrap();
+        assert_eq!(v.as_str(), Some("⟨src|l, a⟩ — ok\n"));
     }
 
     #[test]

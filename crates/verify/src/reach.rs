@@ -7,9 +7,13 @@
 //! support — into symbolic transfer functions over **flow classes**
 //! (five-tuple predicate sets: address prefixes × port intervals × a
 //! protocol bitmask), then checks operator-declared assertions by
-//! propagating whole classes through the enforcement path. Work scales
-//! with the number of flow classes (tens) rather than flows (millions):
-//! no packet is ever enumerated.
+//! propagating whole classes through the enforcement path. No packet is
+//! ever enumerated: the committed campus assertions split into 1,302 flow
+//! classes, and the same file on Waxman-425 into 175,582. Classes are
+//! streamed, never collected, and most of the work is shared between
+//! them — the egress partition per destination prefix, the chain's stage
+//! path per (ingress, rule) pair — so a class costs one allocation-free
+//! routed walk, and witness text is rendered only for findings.
 //!
 //! Three assertion forms are supported (see [`Assertion`]): isolation
 //! (`A ⇏ B`), waypointing (`A → B only via FW`) and TTL-bounded loop
@@ -30,14 +34,15 @@
 //! `set-iteration-order` rule), findings sorted and deduplicated exactly
 //! like the `V0xx` report.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::rc::Rc;
 
 use sdm_netsim::{FiveTuple, Ipv4Addr, Prefix};
 use sdm_policy::{NetworkFunction, TrafficDescriptor};
 use sdm_util::json::Json;
 
-use crate::plan::{CandidateSet, PlanView, Point, WeightsView};
+use crate::plan::{PlanView, Point, WeightsView};
 use crate::witness::{protocol_from_number, ReplayScenario, ReplayStep, StepExpect, WitnessFlow};
 
 /// The full inclusive port interval (the `*` port match).
@@ -467,6 +472,24 @@ fn prefix_subtract(a: Prefix, b: Prefix) -> Vec<Prefix> {
     out
 }
 
+/// Replaces every prefix in `pieces` by `piece \ cut`, in place and in
+/// order. Pieces disjoint from `cut` are kept as they are, without the
+/// allocation `prefix_subtract` would make for them.
+fn subtract_from_each(pieces: &mut Vec<Prefix>, cut: Prefix) {
+    if pieces.iter().all(|p| !p.overlaps(cut)) {
+        return;
+    }
+    let mut out = Vec::with_capacity(pieces.len() + 32);
+    for &p in pieces.iter() {
+        if p.overlaps(cut) {
+            out.extend(prefix_subtract(p, cut));
+        } else {
+            out.push(p);
+        }
+    }
+    *pieces = out;
+}
+
 fn interval_intersect(a: (u16, u16), b: (u16, u16)) -> Option<(u16, u16)> {
     let lo = a.0.max(b.0);
     let hi = a.1.min(b.1);
@@ -656,84 +679,26 @@ pub struct ReachView {
 }
 
 impl ReachView {
-    fn candidates_for(&self, point: Point, f: NetworkFunction) -> Option<&CandidateSet> {
-        self.plan
-            .candidates
-            .iter()
-            .find(|c| c.point == point && c.function == f)
-    }
-
-    /// The set of middleboxes a fresh flow can be steered to at `point`
-    /// for chain stage `next_index` of `policy` (function `f`), under
-    /// `weights`. Sorted; empty when the decision blackholes.
-    fn support(
-        &self,
-        point: Point,
-        policy: u32,
-        next_index: u16,
-        f: NetworkFunction,
-        weights: Option<&WeightsView>,
-        include_failed: bool,
-    ) -> Vec<u32> {
-        let members: Vec<u32> = self
-            .candidates_for(point, f)
-            .map(|c| c.members.clone())
-            .unwrap_or_default();
-        let alive = |m: &u32| {
-            include_failed
-                || self
-                    .plan
-                    .middleboxes
-                    .get(*m as usize)
-                    .is_some_and(|mb| mb.available)
-        };
-        let hot_potato = || -> Vec<u32> { members.iter().copied().filter(alive).take(1).collect() };
-        let mut out = match self.strategy {
-            StrategyView::HotPotato => hot_potato(),
-            StrategyView::Random => members.iter().copied().filter(alive).collect(),
-            StrategyView::LoadBalanced => {
-                let col = weights.and_then(|w| {
-                    w.columns.iter().find(|c| {
-                        c.point == point && c.policy == policy && c.next_index == next_index
-                    })
-                });
-                let positive: Vec<u32> = col
-                    .map(|c| {
-                        c.weights
-                            .iter()
-                            .filter(|&&(m, v)| v > 0.0 && members.contains(&m))
-                            .map(|&(m, _)| m)
-                            .filter(alive)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if positive.is_empty() {
-                    hot_potato()
-                } else {
-                    positive
-                }
-            }
-        };
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// First-match compilation of `class` against the policy table: the
-    /// disjoint pieces of `class`, each tagged with the rule that governs
-    /// it (`None` = default permit). Pieces and order are deterministic.
-    fn peel(&self, class: FlowClass) -> Vec<(FlowClass, Option<&RuleView>)> {
+    /// disjoint pieces of `class`, each tagged with the index of the rule
+    /// that governs it (`None` = default permit). Pieces and order are
+    /// deterministic.
+    fn peel(&self, class: FlowClass) -> Vec<(FlowClass, Option<usize>)> {
         let mut remaining = vec![class];
-        let mut out: Vec<(FlowClass, Option<&RuleView>)> = Vec::new();
-        for rule in &self.rules {
-            let mut next_remaining = Vec::new();
-            for piece in remaining {
-                if let Some(hit) = piece.intersect(&rule.class) {
-                    out.push((hit, Some(rule)));
+        let mut next_remaining = Vec::new();
+        let mut out: Vec<(FlowClass, Option<usize>)> = Vec::new();
+        for (i, rule) in self.rules.iter().enumerate() {
+            for piece in remaining.drain(..) {
+                match piece.intersect(&rule.class) {
+                    Some(hit) => {
+                        out.push((hit, Some(i)));
+                        next_remaining.extend(piece.subtract(&rule.class));
+                    }
+                    // Disjoint from the rule: the piece survives whole.
+                    None => next_remaining.push(piece),
                 }
-                next_remaining.extend(piece.subtract(&rule.class));
             }
-            remaining = next_remaining;
+            std::mem::swap(&mut remaining, &mut next_remaining);
             if remaining.is_empty() {
                 break;
             }
@@ -763,10 +728,7 @@ impl ReachView {
                     ));
                 }
             }
-            external_src = external_src
-                .into_iter()
-                .flat_map(|p| prefix_subtract(p, *subnet))
-                .collect();
+            subtract_from_each(&mut external_src, *subnet);
         }
         for src in external_src {
             // Sources inside the enterprise but in no stub don't exist;
@@ -781,27 +743,24 @@ impl ReachView {
         out
     }
 
-    /// Classifies where the destination space of `class` can be
-    /// delivered: internal stubs, the external world, or nowhere.
-    fn egresses(&self, class: FlowClass) -> Vec<(Egress, FlowClass)> {
+    /// Partitions the destination space `dst` by where it can be
+    /// delivered: one part per overlapping stub, then the external parts
+    /// (enterprise space behind no stub is unroutable and dropped).
+    fn egress_parts(&self, dst: Prefix) -> Vec<(Egress, Prefix)> {
         let mut out = Vec::new();
-        let mut rest = vec![class.dst];
+        let mut rest = vec![dst];
         for (s, subnet) in self.plan.stub_subnets.iter().enumerate() {
-            if let Some(dst) = prefix_intersect(class.dst, *subnet) {
-                out.push((Egress::Stub(s as u32), FlowClass { dst, ..class }));
-            }
-            rest = rest
-                .into_iter()
-                .flat_map(|p| prefix_subtract(p, *subnet))
-                .collect();
-        }
-        for dst in rest {
-            if dst.is_subset_of(self.enterprise) {
-                // Enterprise space with no stub behind it: unroutable.
+            let Some(part) = prefix_intersect(dst, *subnet) else {
                 continue;
-            }
-            if !self.gateway_routers.is_empty() {
-                out.push((Egress::External, FlowClass { dst, ..class }));
+            };
+            out.push((Egress::Stub(s as u32), part));
+            subtract_from_each(&mut rest, *subnet);
+        }
+        if !self.gateway_routers.is_empty() {
+            for part in rest {
+                if !part.is_subset_of(self.enterprise) {
+                    out.push((Egress::External, part));
+                }
             }
         }
         out
@@ -818,6 +777,15 @@ impl ReachView {
         match ingress {
             Ingress::Stub(s) => Point::Proxy(s),
             Ingress::Gateway(g) => Point::Gateway(g),
+        }
+    }
+
+    fn egress_router(&self, egress: Egress) -> Option<u32> {
+        match egress {
+            Egress::Stub(s) => self.stub_routers.get(s as usize).copied(),
+            // External traffic exits via the first gateway (symbolically
+            // any gateway reaches the same external world).
+            Egress::External => self.gateway_routers.first().copied(),
         }
     }
 }
@@ -1081,30 +1049,656 @@ impl fmt::Display for ReachReport {
 // The checker
 // ---------------------------------------------------------------------------
 
-/// A fully-expanded enforcement path for one flow class from one ingress:
-/// the steering stages chosen (deterministically, the first support
-/// member at each stage) and the routed node walks between them.
-struct PathTrace {
-    /// Middlebox visited at each chain stage.
+/// One hop of an enforcement path, in compact form. Hops become text
+/// (`route[n1->n2]`, `mbox(m3)`, `deliver@n7`, …) only when a finding
+/// carries them as its witness path.
+enum Hop {
+    /// The class enters at an ingress point attached to a router.
+    Enter(Ingress, u32),
+    /// The middlebox the class sits at applies the next chain function.
+    Apply(NetworkFunction, u32),
+    /// A routed walk, endpoints inclusive.
+    Route(Vec<u32>),
+    /// A routed walk that looped, up to and including the repeated node.
+    Loop(Vec<u32>),
+    /// The class is steered into a middlebox.
+    Mbox(u32),
+    /// The class is delivered at its egress router.
+    Deliver(u32),
+}
+
+impl fmt::Display for Hop {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Hop::Enter(ingress, n) => write!(f, "{ingress}@n{n}"),
+            Hop::Apply(func, m) => write!(f, "apply({func})@m{m}"),
+            Hop::Route(path) => write_walk(f, "route", path),
+            Hop::Loop(path) => write_walk(f, "loop", path),
+            Hop::Mbox(m) => write!(f, "mbox(m{m})"),
+            Hop::Deliver(n) => write!(f, "deliver@n{n}"),
+        }
+    }
+}
+
+fn write_walk(f: &mut fmt::Formatter<'_>, kind: &str, path: &[u32]) -> fmt::Result {
+    write!(f, "{kind}[")?;
+    for (i, n) in path.iter().enumerate() {
+        if i > 0 {
+            f.write_str("->")?;
+        }
+        write!(f, "n{n}")?;
+    }
+    f.write_str("]")
+}
+
+/// The part of an enforcement path that depends only on the ingress and
+/// the governing rule: each chain stage steered in turn (deterministically
+/// to the first member of its support) and the routed walks between the
+/// stage routers. Every flow class of one (ingress, rule) pair shares it;
+/// only the final leg to the egress router differs.
+enum StagePath {
+    /// Every stage was steered.
+    Steered(Stages),
+    /// A steering stage had no available candidate.
+    Blackhole(NetworkFunction),
+    /// A routed walk between two stage routers looped; the hops so far.
+    RoutedLoop(Vec<Hop>),
+    /// Routing has no path between two stage routers, or the ingress
+    /// has no router.
+    NoRoute,
+}
+
+/// A fully steered stage path.
+struct Stages {
+    /// Where the final leg starts: the last stage's router, or the
+    /// ingress router for an empty chain.
+    at_router: u32,
+    /// Middlebox visited at each routed chain stage.
     stages: Vec<u32>,
-    /// Human-readable hops.
-    hops: Vec<String>,
-    /// Total router hops walked.
+    /// Router hops walked up to `at_router`.
     router_hops: usize,
     /// The union of every stage's *support* (all boxes the flow could
     /// have been sent to under the strategy), for sound bypass claims.
     support_union: Vec<u32>,
+    /// The hops up to `at_router`.
+    hops: Vec<Hop>,
 }
 
-enum TraceOutcome {
-    /// Path reaches the egress router.
-    Completed(PathTrace),
+/// How a routed walk ends, as [`walk_route`] classifies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// Arrived after this many router hops.
+    Arrived(usize),
+    /// Revisited a node, or ran past the hop budget, before arriving.
+    Looped,
+    /// Some hop had no route.
+    Unreachable,
+}
+
+/// The outcome of `walk_route(routes, from, to, budget)` without the
+/// walk: no path, no visited set, no allocation. Next hops are a function
+/// of (node, destination), so a walk that revisits a node cycles from
+/// then on without arriving or losing its route, and the budget check
+/// `walk_route` applies after every step ends it as `Looped` too.
+fn leg(routes: &dyn RouteView, from: u32, to: u32, budget: usize) -> Leg {
+    let mut at = from;
+    let mut nodes = 1usize;
+    while at != to {
+        let Some(next) = routes.next_hop(at, to) else {
+            return Leg::Unreachable;
+        };
+        nodes += 1;
+        if nodes > budget {
+            return Leg::Looped;
+        }
+        at = next;
+    }
+    Leg::Arrived(nodes - 1)
+}
+
+/// One fully split piece of traffic: a single ingress, a single egress
+/// kind and a single governing rule (an index into [`ReachView::rules`];
+/// `None` = default permit).
+struct Piece {
+    ingress: Ingress,
+    egress: Egress,
+    class: FlowClass,
+    rule: Option<usize>,
+}
+
+/// The trace of one flow class: its stage path (an index into
+/// [`Checker::stage_paths`]) followed by the final leg.
+enum Trace {
+    /// Delivered at the egress router after `router_hops` router hops;
+    /// the stage path is [`StagePath::Steered`].
+    Completed { path: usize, router_hops: usize },
     /// A steering stage had no available candidate.
-    Blackhole { stage: NetworkFunction },
-    /// A routed walk between two stage routers looped.
-    RoutedLoop { hops: Vec<String> },
-    /// Routing has no path between two stage routers.
+    Blackhole(NetworkFunction),
+    /// A routed walk looped, between two stage routers or on the final
+    /// leg.
+    RoutedLoop { path: usize },
+    /// Routing has no path.
     NoRoute,
+}
+
+/// The working state of one [`check_assertions`] call: a lookup index
+/// over the view's candidate sets and the memos its flow classes share.
+/// Nothing outlives the call.
+///
+/// The checker's cost is per distinct destination prefix (the egress
+/// partition), per (ingress, rule) pair (the stage path) and per routed
+/// final leg (an allocation-free walk), not per flow class; witness text
+/// is rendered only for findings.
+struct Checker<'a> {
+    view: &'a ReachView,
+    routes: &'a dyn RouteView,
+    /// Hop budget of every routed walk.
+    budget: usize,
+    /// Index into `view.plan.candidates` of the first set for each
+    /// (point, function) looked up so far; `None` when there is none.
+    candidates: BTreeMap<(Point, NetworkFunction), Option<usize>>,
+    /// The egress partition of each destination prefix split so far.
+    egress_parts: BTreeMap<Prefix, Rc<[(Egress, Prefix)]>>,
+    /// Position in `stage_paths` of each (ingress, rule) pair, at
+    /// `ingress slot × (rules + 1) + rule slot`; `u32::MAX` until traced.
+    stage_slots: Vec<u32>,
+    /// The stage paths traced so far.
+    stage_paths: Vec<StagePath>,
+}
+
+impl<'a> Checker<'a> {
+    fn new(view: &'a ReachView, routes: &'a dyn RouteView) -> Self {
+        let ingress_slots = view.plan.stub_subnets.len() + view.gateway_routers.len();
+        Checker {
+            view,
+            routes,
+            budget: view.plan.node_count.max(2),
+            candidates: BTreeMap::new(),
+            egress_parts: BTreeMap::new(),
+            stage_slots: vec![u32::MAX; ingress_slots * (view.rules.len() + 1)],
+            stage_paths: Vec::new(),
+        }
+    }
+
+    /// The members of the first candidate set for function `f` at
+    /// `point` (empty when there is none).
+    fn candidates_for(&mut self, point: Point, f: NetworkFunction) -> &'a [u32] {
+        let view = self.view;
+        let set = *self.candidates.entry((point, f)).or_insert_with(|| {
+            view.plan
+                .candidates
+                .iter()
+                .position(|c| c.point == point && c.function == f)
+        });
+        set.map_or(&[], |i| view.plan.candidates[i].members.as_slice())
+    }
+
+    /// The set of middleboxes a fresh flow can be steered to at `point`
+    /// for chain stage `next_index` of `policy` (function `f`), under
+    /// `weights`. Sorted; empty when the decision blackholes.
+    fn support(
+        &mut self,
+        point: Point,
+        policy: u32,
+        next_index: u16,
+        f: NetworkFunction,
+        weights: Option<&WeightsView>,
+        include_failed: bool,
+    ) -> Vec<u32> {
+        let members = self.candidates_for(point, f);
+        let middleboxes = &self.view.plan.middleboxes;
+        let alive =
+            |m: &u32| include_failed || middleboxes.get(*m as usize).is_some_and(|mb| mb.available);
+        let hot_potato = || -> Vec<u32> { members.iter().copied().filter(alive).take(1).collect() };
+        let mut out = match self.view.strategy {
+            StrategyView::HotPotato => hot_potato(),
+            StrategyView::Random => members.iter().copied().filter(alive).collect(),
+            StrategyView::LoadBalanced => {
+                let col = weights.and_then(|w| {
+                    w.columns.iter().find(|c| {
+                        c.point == point && c.policy == policy && c.next_index == next_index
+                    })
+                });
+                let positive: Vec<u32> = col
+                    .map(|c| {
+                        c.weights
+                            .iter()
+                            .filter(|&&(m, v)| v > 0.0 && members.contains(&m))
+                            .map(|&(m, _)| m)
+                            .filter(alive)
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                if positive.is_empty() {
+                    hot_potato()
+                } else {
+                    positive
+                }
+            }
+        };
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Visits every (ingress, egress, rule) piece of the traffic
+    /// `src -> dst` — split by ingress, peeled by the policy table, then
+    /// partitioned by egress — in a deterministic order, without
+    /// collecting them. Returns the number of pieces visited.
+    fn for_each_piece(
+        &mut self,
+        src: Prefix,
+        dst: Prefix,
+        mut visit: impl FnMut(&mut Self, Piece),
+    ) -> usize {
+        let view = self.view;
+        let mut pieces = 0usize;
+        for (ingress, in_class) in view.ingresses(FlowClass::between(src, dst)) {
+            for (class, rule) in view.peel(in_class) {
+                let parts = Rc::clone(
+                    self.egress_parts
+                        .entry(class.dst)
+                        .or_insert_with(|| view.egress_parts(class.dst).into()),
+                );
+                for &(egress, dst) in parts.iter() {
+                    pieces += 1;
+                    let class = FlowClass { dst, ..class };
+                    visit(
+                        self,
+                        Piece {
+                            ingress,
+                            egress,
+                            class,
+                            rule,
+                        },
+                    );
+                }
+            }
+        }
+        pieces
+    }
+
+    /// The position in `stage_paths` of the stage path of `rule` from
+    /// `ingress`, tracing it on first use.
+    fn stage_path(&mut self, ingress: Ingress, rule: Option<usize>) -> usize {
+        let ingress_slot = match ingress {
+            Ingress::Stub(s) => s as usize,
+            Ingress::Gateway(g) => self.view.plan.stub_subnets.len() + g as usize,
+        };
+        let slot = ingress_slot * (self.view.rules.len() + 1) + rule.map_or(0, |r| r + 1);
+        if self.stage_slots[slot] == u32::MAX {
+            let path = self.trace_stages(ingress, rule);
+            self.stage_slots[slot] = self.stage_paths.len() as u32;
+            self.stage_paths.push(path);
+        }
+        self.stage_slots[slot] as usize
+    }
+
+    /// Steers the chain of `rule` from `ingress`, stage by stage.
+    fn trace_stages(&mut self, ingress: Ingress, rule: Option<usize>) -> StagePath {
+        let view = self.view;
+        let rule = rule.map(|r| &view.rules[r]);
+        let chain: &[NetworkFunction] = rule.map_or(&[], |r| r.chain.as_slice());
+        let policy = rule.map_or(0, |r| r.policy);
+        let weights = view.plan.weights.as_ref();
+
+        let Some(mut at_router) = view.ingress_router(ingress) else {
+            return StagePath::NoRoute;
+        };
+        let mut point = view.ingress_point(ingress);
+        let mut hops = vec![Hop::Enter(ingress, at_router)];
+        let mut stages: Vec<u32> = Vec::new();
+        let mut support_union: BTreeSet<u32> = BTreeSet::new();
+        let mut router_hops = 0usize;
+
+        for (stage_index, &f) in chain.iter().enumerate() {
+            // A box implementing the next function applies it locally.
+            if let Point::Middlebox(m) = point {
+                if view.plan.middleboxes[m as usize].functions.contains(&f) {
+                    hops.push(Hop::Apply(f, m));
+                    continue;
+                }
+            }
+            let support = self.support(point, policy, stage_index as u16, f, weights, false);
+            let Some(&target) = support.first() else {
+                return StagePath::Blackhole(f);
+            };
+            support_union.extend(support.iter().copied());
+            let target_router = view.plan.middleboxes[target as usize].router as u32;
+            match walk_route(self.routes, at_router, target_router, self.budget) {
+                Walk::Arrived(path) => {
+                    router_hops += path.len().saturating_sub(1);
+                    hops.push(Hop::Route(path));
+                }
+                Walk::Looped(path) => {
+                    hops.push(Hop::Loop(path));
+                    return StagePath::RoutedLoop(hops);
+                }
+                Walk::Unreachable => return StagePath::NoRoute,
+            }
+            hops.push(Hop::Mbox(target));
+            stages.push(target);
+            at_router = target_router;
+            point = Point::Middlebox(target);
+        }
+        StagePath::Steered(Stages {
+            at_router,
+            stages,
+            router_hops,
+            support_union: support_union.into_iter().collect(),
+            hops,
+        })
+    }
+
+    /// Traces one flow class of `rule` from `ingress` to `egress_router`.
+    fn trace(&mut self, ingress: Ingress, rule: Option<usize>, egress_router: u32) -> Trace {
+        let path = self.stage_path(ingress, rule);
+        match &self.stage_paths[path] {
+            StagePath::Steered(st) => {
+                match leg(self.routes, st.at_router, egress_router, self.budget) {
+                    Leg::Arrived(hops) => Trace::Completed {
+                        path,
+                        router_hops: st.router_hops + hops,
+                    },
+                    Leg::Looped => Trace::RoutedLoop { path },
+                    Leg::Unreachable => Trace::NoRoute,
+                }
+            }
+            StagePath::Blackhole(f) => Trace::Blackhole(*f),
+            StagePath::RoutedLoop(_) => Trace::RoutedLoop { path },
+            StagePath::NoRoute => Trace::NoRoute,
+        }
+    }
+
+    /// The stages of a completed trace's stage path.
+    fn stages(&self, path: usize) -> &Stages {
+        match &self.stage_paths[path] {
+            StagePath::Steered(st) => st,
+            _ => unreachable!("only a steered stage path completes"),
+        }
+    }
+
+    /// The witness text of a completed or looping trace: the stage hops,
+    /// then the final leg walked again with [`walk_route`].
+    fn witness_hops(&self, path: usize, egress_router: u32) -> Vec<String> {
+        match &self.stage_paths[path] {
+            StagePath::Steered(st) => {
+                let mut hops: Vec<String> = st.hops.iter().map(Hop::to_string).collect();
+                match walk_route(self.routes, st.at_router, egress_router, self.budget) {
+                    Walk::Arrived(walk) => {
+                        hops.push(Hop::Route(walk).to_string());
+                        hops.push(Hop::Deliver(egress_router).to_string());
+                    }
+                    Walk::Looped(walk) => hops.push(Hop::Loop(walk).to_string()),
+                    Walk::Unreachable => {}
+                }
+                hops
+            }
+            StagePath::RoutedLoop(hops) => hops.iter().map(Hop::to_string).collect(),
+            StagePath::Blackhole(_) | StagePath::NoRoute => Vec::new(),
+        }
+    }
+
+    fn check_isolation(
+        &mut self,
+        src: Prefix,
+        dst: Prefix,
+        assertion: &Assertion,
+        findings: &mut Vec<ReachFinding>,
+    ) -> usize {
+        self.for_each_piece(src, dst, |c, piece| {
+            let Some(out_router) = c.view.egress_router(piece.egress) else {
+                return;
+            };
+            let Piece {
+                ingress,
+                class,
+                rule,
+                ..
+            } = piece;
+            match c.trace(ingress, rule, out_router) {
+                Trace::Completed { path, .. } => {
+                    let scenario = make_scenario(
+                        c.view,
+                        ingress,
+                        &class,
+                        c.stages(path),
+                        ReachCode::IsolationBreach,
+                        assertion,
+                    );
+                    findings.push(ReachFinding {
+                        code: ReachCode::IsolationBreach,
+                        subject: assertion.to_string(),
+                        detail: format!(
+                            "flow class {class} from {ingress} is delivered ({}); \
+nothing on its path drops it",
+                            match rule {
+                                Some(r) => format!("policy p{}", c.view.rules[r].policy),
+                                None => "default permit".to_string(),
+                            }
+                        ),
+                        witness: Some(ReachWitness {
+                            class,
+                            path: c.witness_hops(path, out_router),
+                            scenario,
+                        }),
+                    });
+                }
+                Trace::Blackhole(stage) => {
+                    findings.push(blackhole_finding(assertion, &class, stage));
+                }
+                // Looping or unroutable traffic is not *delivered*, so the
+                // isolation assertion is not refuted by it.
+                Trace::RoutedLoop { .. } | Trace::NoRoute => {}
+            }
+        })
+    }
+
+    fn check_waypoint(
+        &mut self,
+        src: Prefix,
+        dst: Prefix,
+        via: NetworkFunction,
+        assertion: &Assertion,
+        findings: &mut Vec<ReachFinding>,
+    ) -> usize {
+        self.for_each_piece(src, dst, |c, piece| {
+            let Some(out_router) = c.view.egress_router(piece.egress) else {
+                return;
+            };
+            let Piece {
+                ingress,
+                class,
+                rule,
+                ..
+            } = piece;
+            let rule_view = rule.map(|r| &c.view.rules[r]);
+            let chain_has_via = rule_view.is_some_and(|r| r.chain.contains(&via));
+            match c.trace(ingress, rule, out_router) {
+                Trace::Completed { path, .. } => {
+                    if chain_has_via {
+                        return; // every support member of the via stage implements it
+                    }
+                    // Delivered without the function on its chain: bypass.
+                    // The claim "no box implementing `via` processed it" is
+                    // only sound for boxes outside every stage's support.
+                    let stages = c.stages(path);
+                    let avoided: Vec<u32> = c
+                        .view
+                        .plan
+                        .middleboxes
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, m)| m.functions.contains(&via))
+                        .map(|(i, _)| i as u32)
+                        .filter(|m| !stages.support_union.contains(m))
+                        .collect();
+                    let scenario = make_bypass_scenario(c.view, ingress, &class, stages, &avoided);
+                    findings.push(ReachFinding {
+                        code: ReachCode::WaypointBypass,
+                        subject: assertion.to_string(),
+                        detail: format!(
+                            "flow class {class} from {ingress} is delivered under {} \
+whose chain does not include {via}",
+                            match rule_view {
+                                Some(r) => format!("policy p{}", r.policy),
+                                None => "the default permit".to_string(),
+                            }
+                        ),
+                        witness: Some(ReachWitness {
+                            class,
+                            path: c.witness_hops(path, out_router),
+                            scenario,
+                        }),
+                    });
+                }
+                Trace::Blackhole(stage) => {
+                    findings.push(blackhole_finding(assertion, &class, stage));
+                }
+                Trace::RoutedLoop { .. } | Trace::NoRoute => {}
+            }
+        })
+    }
+
+    fn check_loop_free(
+        &mut self,
+        ttl: u32,
+        assertion: &Assertion,
+        findings: &mut Vec<ReachFinding>,
+    ) -> usize {
+        // Loop freedom quantifies over *all* enforced traffic: every
+        // piece of the universe, from every ingress it can enter at, under
+        // the rule that governs it (default-permit pieces follow plain
+        // shortest paths; the rules' pieces follow their chains).
+        self.for_each_piece(Prefix::ANY, Prefix::ANY, |c, piece| {
+            let Some(out_router) = c.view.egress_router(piece.egress) else {
+                return;
+            };
+            let Piece {
+                ingress,
+                class,
+                rule,
+                ..
+            } = piece;
+            match c.trace(ingress, rule, out_router) {
+                Trace::Completed { path, router_hops } => {
+                    if router_hops as u32 > ttl {
+                        findings.push(ReachFinding {
+                            code: ReachCode::TtlExceeded,
+                            subject: assertion.to_string(),
+                            detail: format!(
+                                "flow class {class} from {ingress} needs {router_hops} router \
+hops, exceeding the ttl budget {ttl}"
+                            ),
+                            witness: Some(ReachWitness {
+                                class,
+                                path: c.witness_hops(path, out_router),
+                                scenario: None,
+                            }),
+                        });
+                    }
+                }
+                Trace::RoutedLoop { path } => {
+                    findings.push(ReachFinding {
+                        code: ReachCode::TtlExceeded,
+                        subject: assertion.to_string(),
+                        detail: format!(
+                            "flow class {class} from {ingress} enters a routed \
+forwarding loop; packets die by TTL, never by delivery"
+                        ),
+                        witness: Some(ReachWitness {
+                            class,
+                            path: c.witness_hops(path, out_router),
+                            scenario: None,
+                        }),
+                    });
+                }
+                Trace::Blackhole(stage) => {
+                    findings.push(blackhole_finding(assertion, &class, stage));
+                }
+                Trace::NoRoute => {}
+            }
+        })
+    }
+
+    /// Hazard pass: stale pinned flows across a weight swap or failure,
+    /// and label-TTL skew. Runs over every policy rule's class.
+    fn check_hazards(&mut self, findings: &mut Vec<ReachFinding>) {
+        let view = self.view;
+        let Some(hazards) = &view.hazards else { return };
+
+        // R006: label-table TTL skew affects every label-switched class.
+        if let Some(o) = &view.plan.options {
+            if o.label_ttl > o.flow_ttl {
+                for rule in view.rules.iter().filter(|r| !r.chain.is_empty()) {
+                    findings.push(ReachFinding {
+                        code: ReachCode::LabelTtlSkew,
+                        subject: format!("policy(p{})", rule.policy),
+                        detail: format!(
+                            "label-switched class {} rides labels with ttl {} while \
+its flow entry expires after {}; a reallocated label can collide with the stale \
+⟨src|l, a⟩ binding mid-path",
+                            rule.class, o.label_ttl, o.flow_ttl
+                        ),
+                        witness: Some(ReachWitness {
+                            class: rule.class,
+                            path: Vec::new(),
+                            scenario: None,
+                        }),
+                    });
+                }
+            }
+        }
+
+        // R005: a flow steered and pinned under the pre-hazard state whose
+        // pinned target is now failed. The pre-hazard support is computed
+        // with the previous weights and *including* now-failed boxes.
+        if hazards.failed_now.is_empty() {
+            return;
+        }
+        let prev_weights = hazards
+            .prev_weights
+            .as_ref()
+            .or(view.plan.weights.as_ref());
+        for rule in view.rules.iter().filter(|r| !r.chain.is_empty()) {
+            for (ingress, class) in view.ingresses(rule.class) {
+                let point = view.ingress_point(ingress);
+                let f = rule.chain[0];
+                let prev_support = self.support(point, rule.policy, 0, f, prev_weights, true);
+                let stale: Vec<u32> = prev_support
+                    .iter()
+                    .copied()
+                    .filter(|m| hazards.failed_now.binary_search(m).is_ok())
+                    .collect();
+                if stale.is_empty() {
+                    continue;
+                }
+                // A deterministic replay needs the pre-hazard pin target to
+                // be forced: only a singleton support pins predictably.
+                let scenario = if prev_support.len() == 1 {
+                    make_stale_pin_scenario(ingress, &class, prev_support[0])
+                } else {
+                    None
+                };
+                findings.push(ReachFinding {
+                    code: ReachCode::StalePinnedFlow,
+                    subject: format!("{point} policy(p{})", rule.policy),
+                    detail: format!(
+                        "flows of class {class} pinned before the hazard target {} \
+for {f}; {} now failed — pinned packets drop until the flow entry expires or the \
+next epoch re-steers",
+                        join_boxes(&prev_support),
+                        join_boxes(&stale),
+                    ),
+                    witness: Some(ReachWitness {
+                        class,
+                        path: vec![format!("{point}"), format!("pinned->m{}", stale[0])],
+                        scenario,
+                    }),
+                });
+            }
+        }
+    }
 }
 
 /// Checks `assertions` against the deployment and returns the sorted
@@ -1115,6 +1709,7 @@ pub fn check_assertions(
     routes: &dyn RouteView,
     assertions: &[Assertion],
 ) -> ReachReport {
+    let mut checker = Checker::new(view, routes);
     let mut findings: Vec<ReachFinding> = Vec::new();
     let mut results: Vec<AssertionResult> = Vec::new();
     let mut flow_classes = 0usize;
@@ -1123,14 +1718,12 @@ pub fn check_assertions(
         let before = findings.len();
         let checked = match assertion {
             Assertion::Isolated { src, dst } => {
-                check_isolation(view, routes, *src, *dst, assertion, &mut findings)
+                checker.check_isolation(*src, *dst, assertion, &mut findings)
             }
             Assertion::Waypoint { src, dst, via } => {
-                check_waypoint(view, routes, *src, *dst, *via, assertion, &mut findings)
+                checker.check_waypoint(*src, *dst, *via, assertion, &mut findings)
             }
-            Assertion::LoopFree { ttl } => {
-                check_loop_free(view, routes, *ttl, assertion, &mut findings)
-            }
+            Assertion::LoopFree { ttl } => checker.check_loop_free(*ttl, assertion, &mut findings),
         };
         flow_classes += checked;
         results.push(AssertionResult {
@@ -1140,7 +1733,7 @@ pub fn check_assertions(
         });
     }
 
-    check_hazards(view, routes, &mut findings);
+    checker.check_hazards(&mut findings);
 
     findings.sort_by(|a, b| {
         (a.code, &a.subject, &a.detail).cmp(&(b.code, &b.subject, &b.detail))
@@ -1151,322 +1744,6 @@ pub fn check_assertions(
         findings,
         flow_classes,
     }
-}
-
-/// Traces one flow class from `ingress` through its chain to
-/// `egress_router`, following the strategy's first support member at each
-/// stage and the routed walk between stage routers.
-fn trace_path(
-    view: &ReachView,
-    routes: &dyn RouteView,
-    ingress: Ingress,
-    rule: Option<&RuleView>,
-    egress_router: u32,
-) -> TraceOutcome {
-    let budget = view.plan.node_count.max(2);
-    let chain: &[NetworkFunction] = rule.map(|r| r.chain.as_slice()).unwrap_or(&[]);
-    let policy = rule.map(|r| r.policy).unwrap_or(0);
-    let weights = view.plan.weights.as_ref();
-
-    let Some(mut at_router) = view.ingress_router(ingress) else {
-        return TraceOutcome::NoRoute;
-    };
-    let mut point = view.ingress_point(ingress);
-    let mut hops: Vec<String> = vec![format!("{ingress}@n{at_router}")];
-    let mut stages: Vec<u32> = Vec::new();
-    let mut support_union: BTreeSet<u32> = BTreeSet::new();
-    let mut router_hops = 0usize;
-
-    let mut stage_index = 0usize;
-    while stage_index < chain.len() {
-        let f = chain[stage_index];
-        // A box implementing the next function applies it locally.
-        if let Point::Middlebox(m) = point {
-            if view.plan.middleboxes[m as usize].functions.contains(&f) {
-                hops.push(format!("apply({f})@m{m}"));
-                stage_index += 1;
-                continue;
-            }
-        }
-        let support = view.support(point, policy, stage_index as u16, f, weights, false);
-        if support.is_empty() {
-            return TraceOutcome::Blackhole { stage: f };
-        }
-        support_union.extend(support.iter().copied());
-        let target = support[0];
-        let target_router = view.plan.middleboxes[target as usize].router as u32;
-        match walk_route(routes, at_router, target_router, budget) {
-            Walk::Arrived(path) => {
-                router_hops += path.len().saturating_sub(1);
-                hops.push(format!(
-                    "route[{}]",
-                    path.iter()
-                        .map(|n| format!("n{n}"))
-                        .collect::<Vec<_>>()
-                        .join("->")
-                ));
-            }
-            Walk::Looped(path) => {
-                hops.push(format!(
-                    "loop[{}]",
-                    path.iter()
-                        .map(|n| format!("n{n}"))
-                        .collect::<Vec<_>>()
-                        .join("->")
-                ));
-                return TraceOutcome::RoutedLoop { hops };
-            }
-            Walk::Unreachable => return TraceOutcome::NoRoute,
-        }
-        hops.push(format!("mbox(m{target})"));
-        stages.push(target);
-        at_router = target_router;
-        point = Point::Middlebox(target);
-        stage_index += 1;
-    }
-
-    // Final leg: last stage router to the egress router.
-    match walk_route(routes, at_router, egress_router, budget) {
-        Walk::Arrived(path) => {
-            router_hops += path.len().saturating_sub(1);
-            hops.push(format!(
-                "route[{}]",
-                path.iter()
-                    .map(|n| format!("n{n}"))
-                    .collect::<Vec<_>>()
-                    .join("->")
-            ));
-            hops.push(format!("deliver@n{egress_router}"));
-            TraceOutcome::Completed(PathTrace {
-                stages,
-                hops,
-                router_hops,
-                support_union: support_union.into_iter().collect(),
-            })
-        }
-        Walk::Looped(path) => TraceOutcome::RoutedLoop {
-            hops: {
-                hops.push(format!(
-                    "loop[{}]",
-                    path.iter()
-                        .map(|n| format!("n{n}"))
-                        .collect::<Vec<_>>()
-                        .join("->")
-                ));
-                hops
-            },
-        },
-        Walk::Unreachable => TraceOutcome::NoRoute,
-    }
-}
-
-/// The (ingress, egress, rule) pieces of the traffic `src -> dst`, fully
-/// split so each piece has a single governing rule, a single ingress
-/// point and a single egress kind.
-fn split_classes(
-    view: &ReachView,
-    src: Prefix,
-    dst: Prefix,
-) -> Vec<(Ingress, Egress, FlowClass, Option<&RuleView>)> {
-    let mut out = Vec::new();
-    for (ingress, in_class) in view.ingresses(FlowClass::between(src, dst)) {
-        for (class, rule) in view.peel(in_class) {
-            for (egress, final_class) in view.egresses(class) {
-                out.push((ingress, egress, final_class, rule));
-            }
-        }
-    }
-    out
-}
-
-fn egress_router(view: &ReachView, egress: Egress) -> Option<u32> {
-    match egress {
-        Egress::Stub(s) => view.stub_routers.get(s as usize).copied(),
-        // External traffic exits via the first gateway (symbolically any
-        // gateway reaches the same external world).
-        Egress::External => view.gateway_routers.first().copied(),
-    }
-}
-
-fn check_isolation(
-    view: &ReachView,
-    routes: &dyn RouteView,
-    src: Prefix,
-    dst: Prefix,
-    assertion: &Assertion,
-    findings: &mut Vec<ReachFinding>,
-) -> usize {
-    let pieces = split_classes(view, src, dst);
-    let checked = pieces.len();
-    for (ingress, egress, class, rule) in pieces {
-        let Some(out_router) = egress_router(view, egress) else {
-            continue;
-        };
-        match trace_path(view, routes, ingress, rule, out_router) {
-            TraceOutcome::Completed(trace) => {
-                let scenario = make_scenario(
-                    view,
-                    ingress,
-                    &class,
-                    &trace,
-                    ReachCode::IsolationBreach,
-                    assertion,
-                );
-                findings.push(ReachFinding {
-                    code: ReachCode::IsolationBreach,
-                    subject: assertion.to_string(),
-                    detail: format!(
-                        "flow class {class} from {ingress} is delivered ({}); \
-nothing on its path drops it",
-                        match rule {
-                            Some(r) => format!("policy p{}", r.policy),
-                            None => "default permit".to_string(),
-                        }
-                    ),
-                    witness: Some(ReachWitness {
-                        class,
-                        path: trace.hops,
-                        scenario,
-                    }),
-                });
-            }
-            TraceOutcome::Blackhole { stage } => {
-                findings.push(blackhole_finding(assertion, &class, stage));
-            }
-            // Looping or unroutable traffic is not *delivered*, so the
-            // isolation assertion is not refuted by it.
-            TraceOutcome::RoutedLoop { .. } | TraceOutcome::NoRoute => {}
-        }
-    }
-    checked
-}
-
-fn check_waypoint(
-    view: &ReachView,
-    routes: &dyn RouteView,
-    src: Prefix,
-    dst: Prefix,
-    via: NetworkFunction,
-    assertion: &Assertion,
-    findings: &mut Vec<ReachFinding>,
-) -> usize {
-    let pieces = split_classes(view, src, dst);
-    let checked = pieces.len();
-    for (ingress, egress, class, rule) in pieces {
-        let Some(out_router) = egress_router(view, egress) else {
-            continue;
-        };
-        let chain_has_via = rule.is_some_and(|r| r.chain.contains(&via));
-        match trace_path(view, routes, ingress, rule, out_router) {
-            TraceOutcome::Completed(trace) => {
-                if chain_has_via {
-                    continue; // every support member of the via stage implements it
-                }
-                // Delivered without the function on its chain: bypass.
-                // The claim "no box implementing `via` processed it" is
-                // only sound for boxes outside every stage's support.
-                let via_boxes: Vec<u32> = view
-                    .plan
-                    .middleboxes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.functions.contains(&via))
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                let avoided: Vec<u32> = via_boxes
-                    .iter()
-                    .copied()
-                    .filter(|m| !trace.support_union.contains(m))
-                    .collect();
-                let scenario = make_bypass_scenario(view, ingress, &class, &trace, &avoided);
-                findings.push(ReachFinding {
-                    code: ReachCode::WaypointBypass,
-                    subject: assertion.to_string(),
-                    detail: format!(
-                        "flow class {class} from {ingress} is delivered under {} \
-whose chain does not include {via}",
-                        match rule {
-                            Some(r) => format!("policy p{}", r.policy),
-                            None => "the default permit".to_string(),
-                        }
-                    ),
-                    witness: Some(ReachWitness {
-                        class,
-                        path: trace.hops,
-                        scenario,
-                    }),
-                });
-            }
-            TraceOutcome::Blackhole { stage } => {
-                findings.push(blackhole_finding(assertion, &class, stage));
-            }
-            TraceOutcome::RoutedLoop { .. } | TraceOutcome::NoRoute => {}
-        }
-    }
-    checked
-}
-
-fn check_loop_free(
-    view: &ReachView,
-    routes: &dyn RouteView,
-    ttl: u32,
-    assertion: &Assertion,
-    findings: &mut Vec<ReachFinding>,
-) -> usize {
-    // Loop freedom quantifies over *all* enforced traffic: check every
-    // policy rule's class from every ingress it can enter at, plus the
-    // default-permit class between every stub pair is covered by the
-    // rules' complement implicitly (default permit follows plain
-    // shortest paths, which are loop-free iff the routed walks are — and
-    // those are exercised by the per-rule traces below plus V005's
-    // tunnel-edge walks).
-    let mut checked = 0usize;
-    for (ingress, egress, class, rule) in split_classes(view, Prefix::ANY, Prefix::ANY) {
-        checked += 1;
-        let Some(out_router) = egress_router(view, egress) else {
-            continue;
-        };
-        match trace_path(view, routes, ingress, rule, out_router) {
-            TraceOutcome::Completed(trace) => {
-                if trace.router_hops as u32 > ttl {
-                    findings.push(ReachFinding {
-                        code: ReachCode::TtlExceeded,
-                        subject: assertion.to_string(),
-                        detail: format!(
-                            "flow class {class} from {ingress} needs {} router hops, \
-exceeding the ttl budget {ttl}",
-                            trace.router_hops
-                        ),
-                        witness: Some(ReachWitness {
-                            class,
-                            path: trace.hops,
-                            scenario: None,
-                        }),
-                    });
-                }
-            }
-            TraceOutcome::RoutedLoop { hops } => {
-                findings.push(ReachFinding {
-                    code: ReachCode::TtlExceeded,
-                    subject: assertion.to_string(),
-                    detail: format!(
-                        "flow class {class} from {ingress} enters a routed \
-forwarding loop; packets die by TTL, never by delivery"
-                    ),
-                    witness: Some(ReachWitness {
-                        class,
-                        path: hops,
-                        scenario: None,
-                    }),
-                });
-            }
-            TraceOutcome::Blackhole { stage } => {
-                findings.push(blackhole_finding(assertion, &class, stage));
-            }
-            TraceOutcome::NoRoute => {}
-        }
-    }
-    checked
 }
 
 fn blackhole_finding(assertion: &Assertion, class: &FlowClass, stage: NetworkFunction) -> ReachFinding {
@@ -1482,84 +1759,6 @@ available candidate middlebox"
             path: Vec::new(),
             scenario: None,
         }),
-    }
-}
-
-/// Hazard pass: stale pinned flows across a weight swap or failure, and
-/// label-TTL skew. Runs over every policy rule's class.
-fn check_hazards(view: &ReachView, _routes: &dyn RouteView, findings: &mut Vec<ReachFinding>) {
-    let Some(hazards) = &view.hazards else { return };
-
-    // R006: label-table TTL skew affects every label-switched class.
-    if let Some(o) = &view.plan.options {
-        if o.label_ttl > o.flow_ttl {
-            for rule in view.rules.iter().filter(|r| !r.chain.is_empty()) {
-                findings.push(ReachFinding {
-                    code: ReachCode::LabelTtlSkew,
-                    subject: format!("policy(p{})", rule.policy),
-                    detail: format!(
-                        "label-switched class {} rides labels with ttl {} while \
-its flow entry expires after {}; a reallocated label can collide with the stale \
-⟨src|l, a⟩ binding mid-path",
-                        rule.class, o.label_ttl, o.flow_ttl
-                    ),
-                    witness: Some(ReachWitness {
-                        class: rule.class,
-                        path: Vec::new(),
-                        scenario: None,
-                    }),
-                });
-            }
-        }
-    }
-
-    // R005: a flow steered and pinned under the pre-hazard state whose
-    // pinned target is now failed. The pre-hazard support is computed
-    // with the previous weights and *including* now-failed boxes.
-    if hazards.failed_now.is_empty() {
-        return;
-    }
-    let prev_weights = hazards
-        .prev_weights
-        .as_ref()
-        .or(view.plan.weights.as_ref());
-    for rule in view.rules.iter().filter(|r| !r.chain.is_empty()) {
-        for (ingress, class) in view.ingresses(rule.class) {
-            let point = view.ingress_point(ingress);
-            let f = rule.chain[0];
-            let prev_support = view.support(point, rule.policy, 0, f, prev_weights, true);
-            let stale: Vec<u32> = prev_support
-                .iter()
-                .copied()
-                .filter(|m| hazards.failed_now.binary_search(m).is_ok())
-                .collect();
-            if stale.is_empty() {
-                continue;
-            }
-            // A deterministic replay needs the pre-hazard pin target to
-            // be forced: only a singleton support pins predictably.
-            let scenario = if prev_support.len() == 1 {
-                make_stale_pin_scenario(view, ingress, &class, prev_support[0])
-            } else {
-                None
-            };
-            findings.push(ReachFinding {
-                code: ReachCode::StalePinnedFlow,
-                subject: format!("{point} policy(p{})", rule.policy),
-                detail: format!(
-                    "flows of class {class} pinned before the hazard target {} \
-for {f}; {} now failed — pinned packets drop until the flow entry expires or the \
-next epoch re-steers",
-                    join_boxes(&prev_support),
-                    join_boxes(&stale),
-                ),
-                witness: Some(ReachWitness {
-                    class,
-                    path: vec![format!("{point}"), format!("pinned->m{}", stale[0])],
-                    scenario,
-                }),
-            });
-        }
     }
 }
 
@@ -1596,7 +1795,7 @@ fn make_scenario(
     view: &ReachView,
     ingress: Ingress,
     class: &FlowClass,
-    trace: &PathTrace,
+    trace: &Stages,
     code: ReachCode,
     assertion: &Assertion,
 ) -> Option<ReplayScenario> {
@@ -1636,7 +1835,7 @@ fn make_bypass_scenario(
     view: &ReachView,
     ingress: Ingress,
     class: &FlowClass,
-    trace: &PathTrace,
+    trace: &Stages,
     avoided: &[u32],
 ) -> Option<ReplayScenario> {
     let Ingress::Stub(stub) = ingress else {
@@ -1669,7 +1868,6 @@ fn make_bypass_scenario(
 /// pins to it), fail it, inject again and expect `dropped_failed` to
 /// rise; restore to leave the world clean.
 fn make_stale_pin_scenario(
-    _view: &ReachView,
     ingress: Ingress,
     class: &FlowClass,
     target: u32,
@@ -1713,7 +1911,7 @@ fn make_stale_pin_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ChainView, MboxView, OptionsView};
+    use crate::plan::{CandidateSet, ChainView, MboxView, OptionsView};
     use sdm_policy::NetworkFunction::*;
 
     fn prefix(s: &str) -> Prefix {
@@ -1875,6 +2073,39 @@ loop-free ttl 64   # trailing comment
         assert_eq!(walk_route(&r, 0, 3, 10), Walk::Looped(vec![0, 1, 0]));
         assert_eq!(walk_route(&r, 2, 3, 10), Walk::Unreachable);
         assert_eq!(walk_route(&r, 2, 2, 10), Walk::Arrived(vec![2]));
+    }
+
+    #[test]
+    fn leg_classifies_like_walk_route() {
+        // Random next-hop tables over 8 nodes: detours, lost routes and
+        // loops of every length; every (from, to) pair, several budgets.
+        sdm_util::prop::check(
+            "leg == walk_route's outcome",
+            &sdm_util::prop::Config::with_cases(256),
+            |rng| -> Vec<u8> { (0..64).map(|_| rng.gen_range(0..10u8)).collect() },
+            |cells| {
+                let n = 8usize;
+                let mut next = vec![vec![None; n]; n];
+                for (i, &c) in cells.iter().enumerate().take(n * n) {
+                    // 8 and 9 mean "no route".
+                    next[i / n][i % n] = (c < 8).then_some(u32::from(c));
+                }
+                let r = TableRoutes { next };
+                for budget in [2, 4, n] {
+                    for from in 0..n as u32 {
+                        for to in 0..n as u32 {
+                            let want = match walk_route(&r, from, to, budget) {
+                                Walk::Arrived(path) => Leg::Arrived(path.len() - 1),
+                                Walk::Looped(_) => Leg::Looped,
+                                Walk::Unreachable => Leg::Unreachable,
+                            };
+                            sdm_util::prop_assert_eq!(leg(&r, from, to, budget), want);
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     // -- end-to-end checking on a hand-built view ----------------------
